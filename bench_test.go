@@ -137,9 +137,7 @@ func BenchmarkInstallTransaction(b *testing.B) {
 // shards=1 case serializes the whole cycle (the pre-sharding engine); the
 // 4- and 16-shard cases let independent tenants proceed concurrently, and
 // ops/sec should scale with cores (DESIGN.md §4, claim F3: ≥2× at 16
-// shards vs 1 on a multi-core runner). The reject-heavy counterpart is
-// BenchmarkParallelAdmissionReject (the name here is kept stable so the
-// BENCH_*.json trajectory stays comparable across PRs).
+// shards vs 1 on a multi-core runner).
 func BenchmarkParallelAdmission(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -194,75 +192,6 @@ func BenchmarkParallelAdmission(b *testing.B) {
 			})
 		})
 	}
-}
-
-// saturatedSystem builds a peak-provisioned live system whose capacity
-// ledger is filled to the brim, so every further request is a certain
-// rejection — the fixture for the reject-heavy benchmarks and the
-// zero-allocation fast-reject guard.
-func saturatedSystem(tb testing.TB) *System {
-	tb.Helper()
-	cfg := core.Config{
-		PLMNLimit:    4096,
-		HistoryLimit: 256,
-		Shards:       16,
-	}
-	sys, err := NewLive(Options{
-		Orchestrator: &cfg,
-		Testbed: TestbedConfig{
-			ENBs: 4, MaxPLMNs: 4096, CoreHosts: 32, EdgeHosts: 16,
-		},
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	// Fill the ledger: keep admitting 100-Mbps slices until one bounces.
-	for i := 0; ; i++ {
-		if i > 10000 {
-			tb.Fatal("saturation never reached")
-		}
-		req := benchReq(i)
-		req.SLA.ThroughputMbps = 100
-		sl, err := sys.Orchestrator.Submit(req, nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if sl.State() == slice.StateRejected {
-			break
-		}
-	}
-	return sys
-}
-
-// saturatedReq is a request a saturated system must certainly reject: its
-// contract alone exceeds the whole testbed's headroom.
-func saturatedReq() slice.Request {
-	req := benchReq(0)
-	req.SLA.ThroughputMbps = 1 << 20
-	return req
-}
-
-// BenchmarkParallelAdmissionReject (F3) is the reject-heavy counterpart of
-// BenchmarkParallelAdmission: an overload storm against a saturated system,
-// answered by the SubmitFast zero-allocation fast-reject path. Steady state
-// must report 0 allocs/op — every rejection cause comes from and returns to
-// the pool, and the headroom/feasibility caches answer without touching the
-// WAL, the event bus or the slice registry.
-func BenchmarkParallelAdmissionReject(b *testing.B) {
-	sys := saturatedSystem(b)
-	req := saturatedReq()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			cause := sys.Orchestrator.SubmitFast(req)
-			if cause == nil {
-				b.Error("saturated system accepted a fast-path request")
-				return
-			}
-			slice.RecycleRejection(cause)
-		}
-	})
 }
 
 // BenchmarkWatchFanout (F4) measures concurrent admission throughput while
@@ -695,11 +624,9 @@ func BenchmarkDemandSampling(b *testing.B) {
 }
 
 // durableSystem builds a wall-clock System persisting every mutation to a
-// fresh file-backed WAL — the fixture for the durable-path benchmarks.
-// perOp selects the PR 6 baseline (every operation fsyncs its own records
-// under the persistence lock) versus the group-commit pipeline (DESIGN.md
-// §12, the default).
-func durableSystem(b *testing.B, shards int, perOp bool) *System {
+// fresh file-backed WAL (group commit, DESIGN.md §12) — the fixture for the
+// durable-path benchmarks.
+func durableSystem(b *testing.B, shards int) *System {
 	b.Helper()
 	cfg := core.Config{
 		Overbook:            true,
@@ -708,7 +635,6 @@ func durableSystem(b *testing.B, shards int, perOp bool) *System {
 		PLMNLimit:           4096,
 		HistoryLimit:        256,
 		Shards:              shards,
-		CommitPerOp:         perOp,
 	}
 	sys, err := NewLiveDurable(Options{
 		Orchestrator: &cfg,
@@ -729,67 +655,60 @@ func durableSystem(b *testing.B, shards int, perOp bool) *System {
 
 // BenchmarkDurableAdmission measures the durable admit→teardown cycle — the
 // F3 hot path with every operation's records fsynced before Submit/Delete
-// return — under group commit versus the per-operation-fsync baseline. The
-// writers axis is the group-commit story: at writers=1 the pipeline
-// degenerates to a synchronous group of one (price of the protocol ≈ 0);
-// at writers=64 concurrent committers share fsyncs, and the reported
-// fsyncs/op metric (fsyncs per durable commit, from the orchestrator's
-// persistence counters) collapses toward 1/groupsize while the per-op
-// baseline stays pinned at 1. DESIGN.md §12 claim: shards=16/writers=64
-// group mode ≥5× the per-op baseline ops/sec with fsyncs/op < 0.1.
+// return — under group commit. The writers axis is the group-commit story:
+// at writers=1 the pipeline degenerates to a synchronous group of one; at
+// writers=64 concurrent committers share fsyncs, and the reported fsyncs/op
+// metric (fsyncs per durable commit, from the orchestrator's persistence
+// counters) collapses toward 1/groupsize. The mode=group path segment is
+// kept so the names match the BENCH_*.json trajectory.
 func BenchmarkDurableAdmission(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		perOp bool
-	}{{"group", false}, {"perop", true}} {
-		for _, shards := range []int{1, 16} {
-			for _, writers := range []int{1, 64} {
-				b.Run(fmt.Sprintf("mode=%s/shards=%d/writers=%d", mode.name, shards, writers), func(b *testing.B) {
-					b.ReportAllocs()
-					sys := durableSystem(b, shards, mode.perOp)
-					before := sys.Orchestrator.PersistStatus()
-					var next atomic.Int64
-					var wg sync.WaitGroup
-					b.ResetTimer()
-					for w := 0; w < writers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							tenant := fmt.Sprintf("durable-%d", w)
-							for next.Add(1) <= int64(b.N) {
-								sl, err := sys.Orchestrator.Submit(slice.Request{
-									Tenant: tenant,
-									SLA: slice.SLA{
-										ThroughputMbps: 2,
-										MaxLatencyMs:   50,
-										Duration:       time.Hour,
-										PriceEUR:       10,
-										PenaltyEUR:     1,
-									},
-								}, nil)
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								if sl.State() == slice.StateRejected {
-									b.Errorf("bench request rejected: %s", sl.Reason())
-									return
-								}
-								if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
-									b.Error(err)
-									return
-								}
+	for _, shards := range []int{1, 16} {
+		for _, writers := range []int{1, 64} {
+			b.Run(fmt.Sprintf("mode=group/shards=%d/writers=%d", shards, writers), func(b *testing.B) {
+				b.ReportAllocs()
+				sys := durableSystem(b, shards)
+				before := sys.Orchestrator.PersistStatus()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						tenant := fmt.Sprintf("durable-%d", w)
+						for next.Add(1) <= int64(b.N) {
+							sl, err := sys.Orchestrator.Submit(slice.Request{
+								Tenant: tenant,
+								SLA: slice.SLA{
+									ThroughputMbps: 2,
+									MaxLatencyMs:   50,
+									Duration:       time.Hour,
+									PriceEUR:       10,
+									PenaltyEUR:     1,
+								},
+							}, nil)
+							if err != nil {
+								b.Error(err)
+								return
 							}
-						}(w)
-					}
-					wg.Wait()
-					b.StopTimer()
-					after := sys.Orchestrator.PersistStatus()
-					if ops := after.CommitOps - before.CommitOps; ops > 0 {
-						b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(ops), "fsyncs/op")
-					}
-				})
-			}
+							if sl.State() == slice.StateRejected {
+								b.Errorf("bench request rejected: %s", sl.Reason())
+								return
+							}
+							if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				b.StopTimer()
+				after := sys.Orchestrator.PersistStatus()
+				if ops := after.CommitOps - before.CommitOps; ops > 0 {
+					b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(ops), "fsyncs/op")
+				}
+			})
 		}
 	}
 }
@@ -803,7 +722,7 @@ func BenchmarkDurableBatch(b *testing.B) {
 	for _, size := range []int{8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
-			sys := durableSystem(b, 16, false)
+			sys := durableSystem(b, 16)
 			before := sys.Orchestrator.PersistStatus()
 			items := make([]core.BatchItem, size)
 			b.ResetTimer()

@@ -51,7 +51,7 @@ func runFederation(addr string, n int, seed int64, epoch time.Duration, audit bo
 		addr, n, epoch, audit)
 	log.Printf("registry: http://localhost%s/api/v2/federation/clusters  spans: http://localhost%s/api/v2/federation/slices", addr, addr)
 
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := newHTTPServer(addr, mux)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 

@@ -147,7 +147,7 @@ func main() {
 		*addr, *doOver, *risk, *epoch, *dataDir != "")
 	log.Printf("dashboard: http://localhost%s/  API: http://localhost%s/api/v1/slices  events: http://localhost%s/api/v2/events", *addr, *addr, *addr)
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := newHTTPServer(*addr, mux)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 

@@ -57,7 +57,7 @@ func (o *Orchestrator) admit(req slice.Request) (*slice.RejectionCause, float64,
 
 	// Radio capacity (overbooking-aware estimate): atomic two-phase
 	// reservation against the shared ledger.
-	capacity := o.radioCapacityMbps() * o.cfg.UtilizationCap
+	capacity := o.tb.RadioCapacityMbps() * o.cfg.UtilizationCap
 	newLoad := o.admissionEstimate(sla)
 	ok, load := o.ledger.TryReserve(newLoad, capacity)
 	if !ok {

@@ -70,7 +70,7 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 	}
 	// Budget: remaining estimated radio capacity — one ledger read and one
 	// (cached) capacity read decide the whole batch's feasibility sweep.
-	budget := o.radioCapacityMbps()*o.cfg.UtilizationCap - o.ledger.Load()
+	budget := o.tb.RadioCapacityMbps()*o.cfg.UtilizationCap - o.ledger.Load()
 	if budget < 0 {
 		budget = 0
 	}

@@ -138,7 +138,7 @@ func TestBatchOverflowConservation(t *testing.T) {
 	_, o, w := durableEnv(t, cfg, dir)
 
 	items := suboptimalBatch() // 60+40+40+10 Mbps against ~93 Mbps of budget
-	budget := o.radioCapacityMbps()*o.cfg.UtilizationCap - o.ledger.Load()
+	budget := o.tb.RadioCapacityMbps()*o.cfg.UtilizationCap - o.ledger.Load()
 	reqs := make([]KnapsackRequest, len(items))
 	for i, it := range items {
 		reqs[i] = KnapsackRequest{Req: it.Request, LoadMbps: o.admissionEstimate(it.Request.SLA)}

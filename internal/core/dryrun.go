@@ -15,8 +15,8 @@ import (
 // invertible — replaying that round trip from a probe would perturb the
 // ledger's bit pattern and break bit-identical replay. The dry-run therefore
 // reads the ledger once (Load) and compares, and the per-domain feasibility
-// scan reuses feasibleAll, which is a pure dry run by construction (it backs
-// the memoized fast-reject path). TestDryRunIsolation pins the contract:
+// scan reuses feasibleAll, which is a pure dry run by construction (it only
+// memoizes outcomes). TestDryRunIsolation pins the contract:
 // a dry-run burst racing live admissions leaves ledger bits and the event
 // sequence untouched.
 
@@ -54,7 +54,7 @@ func (o *Orchestrator) DryRun(req slice.Request) (DryRunReport, error) {
 	sla := req.SLA
 	rep := DryRunReport{
 		EstimatedLoadMbps: o.admissionEstimate(sla),
-		CapacityMbps:      o.radioCapacityMbps() * o.cfg.UtilizationCap,
+		CapacityMbps:      o.tb.RadioCapacityMbps() * o.cfg.UtilizationCap,
 		LedgerLoadMbps:    o.ledger.Load(),
 	}
 	fail := func(c *slice.RejectionCause) (DryRunReport, error) {

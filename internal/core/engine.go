@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/ctrl"
 	"repro/internal/slice"
 )
@@ -73,12 +71,6 @@ type txEngine struct {
 	// not an identity branch); the engine deducts it from every latency
 	// budget it hands out.
 	fixedLatencyMs float64
-	// recycle enables returning grants to the ctrl pools at the engine's
-	// exclusive-ownership points. It is off when a Wrap decoration is
-	// installed: a decorator (chaos, tracing) may legitimately retain grant
-	// references past abort/commit, and recycling a retained grant would let
-	// its single-shot abort latch fire against an unrelated slice.
-	recycle bool
 }
 
 func newTxEngine(set ctrl.Set) txEngine {
@@ -86,7 +78,7 @@ func newTxEngine(set ctrl.Set) txEngine {
 	all := make([]ctrl.Domain, 0, len(chain)+len(async))
 	all = append(all, chain...)
 	all = append(all, async...)
-	e := txEngine{chain: chain, async: async, all: all, recycle: set.Wrap == nil}
+	e := txEngine{chain: chain, async: async, all: all}
 	for _, d := range all {
 		if lc, ok := d.(ctrl.LatencyContributor); ok {
 			e.fixedLatencyMs += lc.ProcessingLatencyMs()
@@ -109,42 +101,6 @@ type domainGrant struct {
 	g ctrl.Grant
 }
 
-// grantsPool recycles the per-transaction grant list (install and resize
-// both build one per request on the hot path). The pool stores slice
-// pointers so a Put never re-allocates the header.
-var grantsPool = sync.Pool{New: func() any {
-	s := make([]domainGrant, 0, 8)
-	return &s
-}}
-
-func getGrants() *[]domainGrant { return grantsPool.Get().(*[]domainGrant) }
-
-// putGrants clears and returns the grant list to the pool. The caller must
-// have recycled or abandoned the grants themselves first.
-func putGrants(gs *[]domainGrant) {
-	for i := range *gs {
-		(*gs)[i] = domainGrant{}
-	}
-	*gs = (*gs)[:0]
-	grantsPool.Put(gs)
-}
-
-// recycleGrants hands every grant back to the ctrl pools — callable only at
-// points where the engine provably holds the last reference (after a full
-// commit+apply, or after a reverse-order abort) and only when no Wrap
-// decoration could have retained a grant (txEngine.recycle).
-func (o *Orchestrator) recycleGrants(gs []domainGrant) {
-	if !o.domains.recycle {
-		return
-	}
-	for i := range gs {
-		if gs[i].g != nil {
-			ctrl.RecycleGrant(gs[i].g)
-			gs[i].g = nil
-		}
-	}
-}
-
 // abortGrants rolls back in reverse acquisition order. Each abort is
 // panic-contained (safeAbort): one misbehaving domain must not strand the
 // grants behind it.
@@ -155,12 +111,11 @@ func abortGrants(grants []domainGrant) {
 }
 
 // reserveAll runs phase one of the install transaction across the chain and
-// the concurrent group. On success the returned (pooled) grant list is in
-// logical acquisition order (chain, then concurrent group in registration
-// order) and the caller must hand it back via putGrants; on failure
-// everything already granted has been aborted in reverse order and the first
-// failure (chain before concurrent group, both in registration order) is
-// returned.
+// the concurrent group. On success the returned grant list is in logical
+// acquisition order (chain, then concurrent group in registration order); on
+// failure everything already granted has been aborted in reverse order and
+// the first failure (chain before concurrent group, both in registration
+// order) is returned.
 //
 // The caller holds sh.mu. When the head of the chain — the bottleneck
 // domain the overbooking budget governs — cannot fit the request at face
@@ -171,7 +126,7 @@ func abortGrants(grants []domainGrant) {
 // requests" (Section 3). The squeeze locks every shard, so the caller's
 // shard lock is released around it (the newcomer is unpublished; nothing
 // observes the gap) and re-acquired before retrying.
-func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (*[]domainGrant, *slice.RejectionCause) {
+func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) ([]domainGrant, *slice.RejectionCause) {
 	// The concurrent group reserves inline at its dispatch point. It used to
 	// run on per-request goroutines overlapping the chain; the group's
 	// substrates (cloud compute, MEC pool) are disjoint from the chain's
@@ -193,7 +148,7 @@ func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (
 		joined = append(joined, asyncResult{g, cause})
 	}
 
-	gs := getGrants()
+	gs := make([]domainGrant, 0, len(o.domains.all))
 	var failure *slice.RejectionCause
 	for i, d := range o.domains.chain {
 		g, cause := safeReserve(d, tx)
@@ -214,7 +169,7 @@ func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (
 			failure = cause
 			break
 		}
-		*gs = append(*gs, domainGrant{d: d, g: g})
+		gs = append(gs, domainGrant{d: d, g: g})
 		if m := g.EffectiveMbps(); m > 0 {
 			tx.Mbps = m
 		}
@@ -226,15 +181,13 @@ func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (
 	for i, res := range joined {
 		switch {
 		case res.cause == nil:
-			*gs = append(*gs, domainGrant{d: o.domains.async[i], g: res.g})
+			gs = append(gs, domainGrant{d: o.domains.async[i], g: res.g})
 		case failure == nil:
 			failure = res.cause
 		}
 	}
 	if failure != nil {
-		abortGrants(*gs)
-		o.recycleGrants(*gs)
-		putGrants(gs)
+		abortGrants(gs)
 		return nil, failure
 	}
 	return gs, nil
@@ -263,32 +216,26 @@ func (o *Orchestrator) releaseAll(id slice.ID, p slice.PLMN) {
 
 // resizeAll applies a new throughput across every domain in acquisition
 // order, threading each grant's effective throughput into the next stage
-// exactly like installation does. On any failure the already-resized
-// domains are restored to prev in reverse order and false is returned; on
-// success the returned (pooled) grant list (entries may hold nil grants)
-// records the allocation changes for the caller to apply and then return
-// via putGrants.
-func (o *Orchestrator) resizeAll(tx ctrl.Tx, target, prev float64) (*[]domainGrant, bool) {
-	gs := getGrants()
+// exactly like installation does, and applies each returned grant to alloc.
+// On any failure the already-resized domains are restored to prev in reverse
+// order and false is returned; alloc may then hold a partial update and the
+// caller must discard it.
+func (o *Orchestrator) resizeAll(tx ctrl.Tx, target, prev float64, alloc *slice.Allocation) bool {
 	carried := target
 	for i, d := range o.domains.all {
 		g, err := d.Resize(tx, carried)
 		if err != nil {
 			for j := i - 1; j >= 0; j-- {
-				rg, rerr := o.domains.all[j].Resize(tx, prev)
-				if rerr == nil && rg != nil && o.domains.recycle {
-					ctrl.RecycleGrant(rg) // restoration grants are never applied
-				}
+				o.domains.all[j].Resize(tx, prev) // restoration grants are never applied
 			}
-			putGrants(gs)
-			return nil, false
+			return false
 		}
-		*gs = append(*gs, domainGrant{d: d, g: g})
 		if g != nil {
+			g.Apply(alloc)
 			if m := g.EffectiveMbps(); m > 0 {
 				carried = m
 			}
 		}
 	}
-	return gs, true
+	return true
 }

@@ -20,9 +20,8 @@ import (
 //
 // The payoff is asymmetric by design: every successful install mutates the
 // substrates and bumps the versions, so admit-heavy traffic sees few hits —
-// but a rejection storm (the overload regime the fast-reject path serves)
-// leaves the substrates untouched, and every probe after the first is a
-// lock-free table read.
+// but a rejection storm leaves the substrates untouched, and every probe
+// after the first is a lock-free table read.
 
 // feasSlots is the per-domain direct-mapped table size. Collisions only cost
 // a re-computation, never a wrong answer: the full key is compared on probe.
@@ -127,29 +126,4 @@ func (o *Orchestrator) feasibleAll(tx ctrl.Tx) *slice.RejectionCause {
 		}
 	}
 	return nil
-}
-
-// feasProbeReject is the probe-only variant for the zero-allocation fast
-// path: it reports a memoized, currently-valid failing outcome for tx, never
-// computing anything. The second return is false when no memo can prove a
-// present-version failure (unknown, stale, or all-pass) — the caller must
-// then fall through to the full path. The returned cause is shared; it is
-// safe to hand to slice.RecycleRejection, which ignores non-pooled causes.
-func (o *Orchestrator) feasProbeReject(tx ctrl.Tx) (*slice.RejectionCause, bool) {
-	k := feasKey{dc: tx.DataCenter, mbps: tx.Mbps, budget: tx.LatencyBudgetMs, sla: tx.SLA}
-	slot := feasHash(&k) & (feasSlots - 1)
-	for i := range o.domains.all {
-		m := &o.feas[i]
-		if m.versioner == nil {
-			continue
-		}
-		e := m.slots[slot].Load()
-		if e == nil || e.key != k || e.cause == nil {
-			continue
-		}
-		if e.ver == m.versioner.FeasVersion() {
-			return e.cause, true
-		}
-	}
-	return nil, false
 }

@@ -48,23 +48,18 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 		Mbps:            sla.ThroughputMbps,
 		LatencyBudgetMs: o.latencyBudget(sla),
 	}
-	gs, cause := o.reserveAll(sh, tx, o.admissionEstimate(sla))
+	grants, cause := o.reserveAll(sh, tx, o.admissionEstimate(sla))
 	if cause != nil {
 		o.plmns.Release(plmn)
 		return errReject{cause}
 	}
-	grants := *gs
 	if cause := commitGrants(grants); cause != nil {
-		o.recycleGrants(grants) // aborted by commitGrants; engine holds the last reference
-		putGrants(gs)
 		o.plmns.Release(plmn)
 		return errReject{cause}
 	}
 
 	if err := s.Admit(); err != nil {
 		abortGrants(grants)
-		o.recycleGrants(grants)
-		putGrants(gs)
 		o.plmns.Release(plmn)
 		return err
 	}
@@ -77,10 +72,6 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 		}
 	}
 	s.SetAllocation(alloc)
-	// Applied grants surrendered their containers to the allocation; the
-	// engine holds the last reference and can hand them back to the pools.
-	o.recycleGrants(grants)
-	putGrants(gs)
 
 	m := &managedSlice{
 		s:          s,
@@ -293,19 +284,11 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) bool {
 		LatencyBudgetMs: o.latencyBudget(sla),
 	}
 	before := alloc.AllocatedMbps
-	gs, ok := o.resizeAll(tx, targetMbps, alloc.AllocatedMbps)
-	if !ok {
+	if !o.resizeAll(tx, targetMbps, alloc.AllocatedMbps, &alloc) {
 		endReconfigure()
 		return false
 	}
-	for _, dg := range *gs {
-		if dg.g != nil {
-			dg.g.Apply(&alloc)
-		}
-	}
 	m.s.SetAllocation(alloc)
-	o.recycleGrants(*gs) // applied; the engine holds the last reference
-	putGrants(gs)
 	o.acc.allocDelta(alloc.AllocatedMbps - before)
 	m.sh.reconfigurations.Add(1)
 	// Publish after the Reconfiguring -> Active transition completes so the

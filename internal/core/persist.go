@@ -237,7 +237,7 @@ func (o *Orchestrator) appendRecord(typ string, payload any) {
 	// caller owns (its shard lock is still held), so encoding it needs no
 	// persistence state, and keeping it outside shrinks the append critical
 	// section every other shard serializes on.
-	b, merr := marshalRecord(payload)
+	b, merr := json.Marshal(payload)
 	o.persistMu.Lock()
 	defer o.persistMu.Unlock()
 	if o.persistErr != nil || o.persistClosed {
@@ -322,9 +322,7 @@ type commitTicket struct {
 // arrivals find a flush in flight, block, and are covered either by that
 // fsync (if their records made the capture) or by the next group's, whose
 // leader is elected among them when the current flush completes. A lone
-// committer flushes immediately and synchronously. With Config.CommitPerOp
-// the PR 6 behaviour is kept: every operation fsyncs its own records under
-// persistMu, serializing all durable operations (the benchmark baseline).
+// committer flushes immediately and synchronously.
 func (o *Orchestrator) commitPersist() {
 	if o.persist == nil {
 		return
@@ -335,27 +333,6 @@ func (o *Orchestrator) commitPersist() {
 		return
 	}
 	target := o.walSeq
-	if o.cfg.CommitPerOp {
-		err := o.persist.Committed()
-		if err != nil {
-			o.persistErr = err
-		}
-		o.persistMu.Unlock()
-		g := &o.commit
-		g.mu.Lock()
-		g.commitOps++
-		if err == nil {
-			g.fsyncs++
-			if target > g.durable {
-				g.durable = target
-			}
-			if g.maxGroup < 1 {
-				g.maxGroup = 1
-			}
-		}
-		g.mu.Unlock()
-		return
-	}
 	o.persistMu.Unlock()
 	o.commitWait(target)
 }
@@ -405,35 +382,8 @@ func (o *Orchestrator) commitWait(target uint64) {
 		return
 	}
 	g.flushing = true
-	members := t.members
-
-	// Grouping window: with other writers already queued, the leader may
-	// linger up to CommitMaxDelay for more to arrive, capped at
-	// CommitMaxBatch members; the ticket stays joinable until just before
-	// the flush. A lone writer never waits — the synchronous fallback that
-	// keeps single-threaded latency at the per-op cost. The window trades
-	// bounded latency for fewer fsyncs on devices whose sync is too fast
-	// for natural batching to build groups.
-	if d := o.cfg.CommitMaxDelay; d > 0 && members > 1 {
-		g.mu.Unlock()
-		deadline := time.Now().Add(d)
-		for members < o.cfg.CommitMaxBatch {
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				break
-			}
-			if step := 50 * time.Microsecond; remain > step {
-				remain = step
-			}
-			time.Sleep(remain)
-			g.mu.Lock()
-			members = t.members
-			g.mu.Unlock()
-		}
-		g.mu.Lock()
-	}
 	g.cur = nil
-	members = t.members
+	members := t.members
 	g.mu.Unlock()
 
 	covered, err := o.flushCommit()
@@ -463,8 +413,7 @@ func (o *Orchestrator) commitWait(target uint64) {
 // capture happens under persistMu but the write+fsync runs outside it, so
 // concurrent operations keep appending records while the disk works; the
 // caller's leadership (commitGroup.flushing) guarantees staged steps are
-// serialized in capture order. Failures latch persistErr exactly as the
-// per-op path always has.
+// serialized in capture order. Failures latch persistErr.
 func (o *Orchestrator) flushCommit() (uint64, error) {
 	o.persistMu.Lock()
 	if o.persistErr != nil || o.persistClosed {
@@ -549,8 +498,8 @@ type PersistStatus struct {
 	// DurableSeq is the highest WAL sequence covered by a completed fsync;
 	// LastSeq minus DurableSeq is the buffered, not-yet-durable tail.
 	DurableSeq uint64 `json:"durable_seq"`
-	// Fsyncs counts completed durability barriers (group-commit fsyncs,
-	// per-op commits under CommitPerOp, and checkpoints). CommitOps counts
+	// Fsyncs counts completed durability barriers (group-commit fsyncs and
+	// checkpoints). CommitOps counts
 	// operations that reached their durability boundary; CommitOps/Fsyncs
 	// is the realized group-commit amortization.
 	Fsyncs    uint64 `json:"fsyncs"`

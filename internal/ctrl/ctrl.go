@@ -103,23 +103,12 @@ type RadioReservation struct {
 // across eNBs. On any per-eNB failure everything is rolled back, so the
 // radio domain never holds a partial slice.
 func (c *RANController) ReserveSlice(p slice.PLMN, mbps float64) (RadioReservation, error) {
-	res := RadioReservation{PRBs: make(map[string]int)}
-	if err := c.reserveSliceInto(p, mbps, &res); err != nil {
-		return RadioReservation{}, err
-	}
-	return res, nil
-}
-
-// reserveSliceInto is ReserveSlice writing into a caller-owned reservation
-// (res.PRBs must be a non-nil empty map) so pooled grants can reuse their
-// map across slices.
-func (c *RANController) reserveSliceInto(p slice.PLMN, mbps float64, res *RadioReservation) error {
 	enbs := c.Cells()
 	if len(enbs) == 0 {
-		return errors.New("ctrl: RAN has no eNBs")
+		return RadioReservation{}, errors.New("ctrl: RAN has no eNBs")
 	}
 	share := mbps / float64(len(enbs))
-	res.TotalMbps = 0
+	res := RadioReservation{PRBs: make(map[string]int, len(enbs))}
 	for i, e := range enbs {
 		prbs := e.PRBsForThroughput(share)
 		if prbs == 0 {
@@ -129,43 +118,34 @@ func (c *RANController) reserveSliceInto(p slice.PLMN, mbps float64, res *RadioR
 			for j := 0; j < i; j++ {
 				enbs[j].Release(p)
 			}
-			return fmt.Errorf("ctrl: radio reserve on %s: %w", e.Name(), err)
+			return RadioReservation{}, fmt.Errorf("ctrl: radio reserve on %s: %w", e.Name(), err)
 		}
 		res.PRBs[e.Name()] = prbs
 		res.TotalMbps += e.ThroughputForPRBs(prbs)
 	}
-	return nil
+	return res, nil
 }
 
 // ResizeSlice adjusts the PLMN's reservations for a new aggregate
 // throughput. Failures on one eNB restore the previous sizes everywhere.
 func (c *RANController) ResizeSlice(p slice.PLMN, mbps float64) (RadioReservation, error) {
-	res := RadioReservation{PRBs: make(map[string]int)}
-	if err := c.resizeSliceInto(p, mbps, &res); err != nil {
-		return RadioReservation{}, err
-	}
-	return res, nil
-}
-
-// resizeSliceInto is ResizeSlice writing into a caller-owned reservation
-// (res.PRBs must be a non-nil empty map). The previous per-eNB sizes used
-// for rollback live in a small stack buffer at common cell counts.
-func (c *RANController) resizeSliceInto(p slice.PLMN, mbps float64, res *RadioReservation) error {
 	enbs := c.Cells()
 	if len(enbs) == 0 {
-		return errors.New("ctrl: RAN has no eNBs")
+		return RadioReservation{}, errors.New("ctrl: RAN has no eNBs")
 	}
 	share := mbps / float64(len(enbs))
+	// The previous per-eNB sizes used for rollback live in a small stack
+	// buffer at common cell counts.
 	var prevBuf [8]int
 	prev := prevBuf[:0]
 	for _, e := range enbs {
 		n, ok := e.Reservation(p)
 		if !ok {
-			return fmt.Errorf("ctrl: resize: %s has no reservation for %s", e.Name(), p)
+			return RadioReservation{}, fmt.Errorf("ctrl: resize: %s has no reservation for %s", e.Name(), p)
 		}
 		prev = append(prev, n)
 	}
-	res.TotalMbps = 0
+	res := RadioReservation{PRBs: make(map[string]int, len(enbs))}
 	for i, e := range enbs {
 		prbs := e.PRBsForThroughput(share)
 		if prbs == 0 {
@@ -175,12 +155,12 @@ func (c *RANController) resizeSliceInto(p slice.PLMN, mbps float64, res *RadioRe
 			for j := 0; j < i; j++ {
 				enbs[j].Resize(p, prev[j])
 			}
-			return fmt.Errorf("ctrl: radio resize on %s: %w", e.Name(), err)
+			return RadioReservation{}, fmt.Errorf("ctrl: radio resize on %s: %w", e.Name(), err)
 		}
 		res.PRBs[e.Name()] = prbs
 		res.TotalMbps += e.ThroughputForPRBs(prbs)
 	}
-	return nil
+	return res, nil
 }
 
 // ReleaseSlice drops the PLMN from every eNB. Idempotent.
@@ -300,23 +280,12 @@ type PathSetup struct {
 // data-center gateway, each sized to the eNB's share of the slice
 // throughput. All-or-nothing.
 func (c *TransportController) SetupPaths(id slice.ID, dc string, mbps, maxDelayMs float64) (PathSetup, error) {
-	var setup PathSetup
-	if err := c.setupPathsInto(id, dc, mbps, maxDelayMs, &setup); err != nil {
-		return PathSetup{}, err
-	}
-	return setup, nil
-}
-
-// setupPathsInto is SetupPaths writing into a caller-owned setup (its
-// PathIDs backing array is reused) so pooled grants can recycle it.
-func (c *TransportController) setupPathsInto(id slice.ID, dc string, mbps, maxDelayMs float64, setup *PathSetup) error {
 	enbs := c.enbNodes()
 	if len(enbs) == 0 {
-		return errors.New("ctrl: transport has no eNB nodes")
+		return PathSetup{}, errors.New("ctrl: transport has no eNB nodes")
 	}
 	share := mbps / float64(len(enbs))
-	setup.PathIDs = setup.PathIDs[:0]
-	setup.WorstDelayMs = 0
+	setup := PathSetup{PathIDs: make([]string, 0, len(enbs))}
 	for _, enb := range enbs {
 		pid := string(id) + "/" + enb + "->" + dc
 		r, err := c.net.ReservePath(pid, transport.PathRequest{
@@ -326,8 +295,7 @@ func (c *TransportController) setupPathsInto(id slice.ID, dc string, mbps, maxDe
 			for _, done := range setup.PathIDs { // roll back: all paths or none
 				c.net.Release(done)
 			}
-			setup.PathIDs = setup.PathIDs[:0]
-			return fmt.Errorf("ctrl: path %s->%s: %w", enb, dc, err)
+			return PathSetup{}, fmt.Errorf("ctrl: path %s->%s: %w", enb, dc, err)
 		}
 		setup.PathIDs = append(setup.PathIDs, pid)
 		if r.DelayMs > setup.WorstDelayMs {
@@ -337,7 +305,7 @@ func (c *TransportController) setupPathsInto(id slice.ID, dc string, mbps, maxDe
 	c.mu.Lock()
 	c.bySlice[id] = append([]string(nil), setup.PathIDs...)
 	c.mu.Unlock()
-	return nil
+	return setup, nil
 }
 
 // ResizePaths changes every path of the slice to the new aggregate

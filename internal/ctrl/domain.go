@@ -163,9 +163,6 @@ func (g *radioGrant) ActivationDelay() time.Duration { return 0 }
 func (g *radioGrant) Apply(a *slice.Allocation) {
 	a.AllocatedMbps = g.res.TotalMbps
 	a.PRBs = g.res.PRBs
-	// Ownership of the PRB map moves to the allocation; drop it so a later
-	// RecycleGrant can never alias live slice state.
-	g.res.PRBs = nil
 }
 
 // radioCause classifies a RAN substrate error: a full MOCN broadcast list is
@@ -188,12 +185,11 @@ func (c *RANController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	if cause := c.reserveFault("ran"); cause != nil {
 		return nil, cause
 	}
-	g := newRadioGrant(tx.PLMN)
-	if err := c.reserveSliceInto(tx.PLMN, tx.Mbps, &g.res); err != nil {
-		RecycleGrant(g)
+	res, err := c.ReserveSlice(tx.PLMN, tx.Mbps)
+	if err != nil {
 		return nil, radioCause(err)
 	}
-	return g, nil
+	return &radioGrant{plmn: tx.PLMN, res: res}, nil
 }
 
 // Commit implements Domain (PRB reservations are live at Reserve; only an
@@ -214,12 +210,11 @@ func (c *RANController) Resize(tx Tx, mbps float64) (Grant, error) {
 	if err := c.resizeFault("ran"); err != nil {
 		return nil, err
 	}
-	g := newRadioGrant(tx.PLMN)
-	if err := c.resizeSliceInto(tx.PLMN, mbps, &g.res); err != nil {
-		RecycleGrant(g)
+	res, err := c.ResizeSlice(tx.PLMN, mbps)
+	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	return &radioGrant{plmn: tx.PLMN, res: res}, nil
 }
 
 // Release implements Domain.
@@ -241,9 +236,6 @@ func (g *pathGrant) ActivationDelay() time.Duration { return 0 }
 func (g *pathGrant) Apply(a *slice.Allocation) {
 	a.PathIDs = g.setup.PathIDs
 	a.PathLatencyMs = g.setup.WorstDelayMs
-	// Ownership of the path-ID slice moves to the allocation; drop it so a
-	// later RecycleGrant can never alias live slice state.
-	g.setup.PathIDs = nil
 }
 
 // transportCause classifies a transport substrate error: a missed delay
@@ -276,12 +268,11 @@ func (c *TransportController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	if cause := c.reserveFault("transport"); cause != nil {
 		return nil, cause
 	}
-	g := newPathGrant(tx.Slice)
-	if err := c.setupPathsInto(tx.Slice, tx.DataCenter, tx.Mbps, tx.LatencyBudgetMs, &g.setup); err != nil {
-		RecycleGrant(g)
+	setup, err := c.SetupPaths(tx.Slice, tx.DataCenter, tx.Mbps, tx.LatencyBudgetMs)
+	if err != nil {
 		return nil, transportCause(err, "transport: %w", err)
 	}
-	return g, nil
+	return &pathGrant{id: tx.Slice, setup: setup}, nil
 }
 
 // Commit implements Domain (flows are installed at Reserve; only an armed
@@ -348,9 +339,7 @@ func (c *CloudController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	c.mu.Lock()
 	c.bySlice[tx.Slice] = dep
 	c.mu.Unlock()
-	g := newCloudGrant(tx.Slice)
-	g.dep = dep
-	return g, nil
+	return &cloudGrant{id: tx.Slice, dep: dep}, nil
 }
 
 // Commit implements Domain (the stack and vEPC registration are live at
@@ -449,9 +438,7 @@ func (c *MECController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	if err != nil {
 		return nil, slice.Rejectf(slice.RejectMECCapacity, "mec", "mec: %w", err)
 	}
-	g := newMECGrant()
-	g.app = app
-	return g, nil
+	return &mecGrant{app: app}, nil
 }
 
 // Commit implements Domain (only an armed fault can fail it).

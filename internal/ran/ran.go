@@ -169,16 +169,7 @@ type ENB struct {
 	used     int                // sum of reserved PRBs, kept incrementally so
 	// the free-PRB check on every reserve/resize is O(1) instead of a scan
 	// over all PLMNs (the control epoch resizes every slice every period).
-
-	// ver counts every state change that can flip a headroom answer —
-	// Reserve, Resize, Release, SetMeanCQI — so per-cell feasibility
-	// summaries can be cached and invalidated incrementally.
-	ver atomic.Uint64
 }
-
-// Version returns a counter bumped by every reservation or channel-quality
-// mutation; equal versions guarantee equal headroom answers.
-func (e *ENB) Version() uint64 { return e.ver.Load() }
 
 // NewENB validates cfg and returns the eNB. rng may be nil for a
 // deterministic (mean-CQI) channel.
@@ -269,7 +260,6 @@ func (e *ENB) Reserve(p slice.PLMN, prbs int) error {
 	e.reserved[p] = prbs
 	e.used += prbs
 	e.order = append(e.order, p)
-	e.ver.Add(1)
 	return nil
 }
 
@@ -292,7 +282,6 @@ func (e *ENB) Resize(p slice.PLMN, prbs int) error {
 	}
 	e.reserved[p] = prbs
 	e.used += delta
-	e.ver.Add(1)
 	return nil
 }
 
@@ -313,7 +302,6 @@ func (e *ENB) Release(p slice.PLMN) {
 			break
 		}
 	}
-	e.ver.Add(1)
 }
 
 // SetMeanCQI rescales the cell's channel quality (clamped to 1..15) — the
@@ -332,7 +320,6 @@ func (e *ENB) SetMeanCQI(cqi float64) {
 	e.mu.Lock()
 	e.cfg.MeanCQI = cqi
 	e.mu.Unlock()
-	e.ver.Add(1)
 }
 
 // AuditConservation cross-checks the cell's incremental PRB accounting

@@ -3,7 +3,6 @@ package slice
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // RejectCode is the stable, machine-readable taxonomy of admission-rejection
@@ -72,10 +71,6 @@ type RejectionCause struct {
 	Detail string `json:"detail"`
 
 	err error // wrapped substrate error, if any
-	// pooled marks causes owned by the fast-reject pool: RecycleRejection
-	// returns only these, so shared causes (memoized feasibility outcomes,
-	// causes stored in slice state) are never recycled under a reader.
-	pooled bool
 }
 
 // Rejectf builds a cause with a formatted detail. %w verbs wrap the
@@ -100,32 +95,6 @@ func (c *RejectionCause) Is(target error) bool {
 		return t != nil && c.Code == t.Code
 	}
 	return false
-}
-
-// causePool backs the zero-allocation fast-reject path: rejection storms
-// produce one cause per probe, and pooling them keeps the storm allocation
-// free in steady state.
-var causePool = sync.Pool{New: func() any { return new(RejectionCause) }}
-
-// PooledRejection returns a pooled cause carrying a prebuilt detail string
-// (no formatting on the hot path). The caller owns it until handing it to
-// RecycleRejection; it must not be stored anywhere that outlives that call.
-func PooledRejection(code RejectCode, domain, detail string) *RejectionCause {
-	c := causePool.Get().(*RejectionCause)
-	c.Code, c.Domain, c.Detail, c.err, c.pooled = code, domain, detail, nil, true
-	return c
-}
-
-// RecycleRejection returns a PooledRejection cause to the pool. Causes built
-// by Rejectf/CauseOf — including memoized feasibility outcomes shared across
-// requests — are left for the garbage collector, so callers may pass any
-// cause they were handed without tracking its provenance.
-func RecycleRejection(c *RejectionCause) {
-	if c == nil || !c.pooled {
-		return
-	}
-	*c = RejectionCause{}
-	causePool.Put(c)
 }
 
 // CauseOf coerces err into a typed cause: an existing *RejectionCause in
